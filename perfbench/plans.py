@@ -1,10 +1,12 @@
 """Seeded workload generator: benchmark seed -> programs, fault plans, inputs.
 
 Everything a workload feeds the program comes from here and from the
-seed alone: the programs to build (workload name and constructor
-arguments), their training seeds, and every campaign's fault
-specifications.  The program under test receives only these generated
-specs and inputs; nothing here runs a kernel.
+seed alone: the programs to build and every campaign's fault
+specifications.  Programs are built at their default sizes and trained
+on input seed 0.  ``run.py`` generates the plan once per run, outside
+the timed workload processes, and hands each one the pickled plan: the
+program under test receives only these generated specs and inputs;
+nothing here runs a kernel.
 
 Sizes are chosen for a 2-CPU host (one workload process, at most two
 worker processes); ``README.md`` in this directory gives the reasoning
@@ -13,8 +15,8 @@ and the measured cost shares behind each one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,15 +35,6 @@ HANG_BIT_RANGE = (20, 30)
 MAX_DELAY_EVENTS = 48
 
 
-@dataclass(frozen=True)
-class ProgramSpec:
-    """How to build and train one program of a workload."""
-
-    name: str
-    kwargs: Dict[str, int] = field(default_factory=dict)
-    train_seeds: Tuple[int, ...] = (0,)
-
-
 @dataclass
 class CampaignSpec:
     """One fift campaign: which program, its fault plan, how to run it."""
@@ -55,7 +48,8 @@ class CampaignSpec:
 @dataclass
 class WorkloadPlan:
     name: str
-    programs: Dict[str, ProgramSpec]
+    #: Workload names of the programs to build, each trained on input seed 0.
+    programs: Tuple[str, ...]
     campaigns: List[CampaignSpec]
     #: Run ``build_report`` and resume every campaign from its journal.
     report_and_resume: bool = False
@@ -109,16 +103,14 @@ def hang_specs(kernel: Kernel, n_threads: int, count: int,
     return out
 
 
-def _n_threads(program: ProgramSpec) -> int:
-    return get_workload(program.name, **program.kwargs).generate_input(0).n_threads
+def _n_threads(name: str) -> int:
+    return get_workload(name).generate_input(0).n_threads
 
 
-def _fp_specs(program: ProgramSpec, masks_per_site: int, seed: int,
-              bit_counts: Sequence[int] = FIG14_BITS) -> List[FaultSpec]:
-    kernel = get_workload(program.name, **program.kwargs).kernel
+def _fp_specs(name: str, masks_per_site: int, seed: int) -> List[FaultSpec]:
     return build_fault_specs(
-        enumerate_targets(kernel, ["fp"]), n_threads=_n_threads(program),
-        masks_per_site=masks_per_site, bit_counts=bit_counts, seed=seed,
+        enumerate_targets(get_workload(name).kernel, ["fp"]), n_threads=_n_threads(name),
+        masks_per_site=masks_per_site, bit_counts=FIG14_BITS, seed=seed,
     )
 
 
@@ -135,11 +127,10 @@ def hang_mix(seed: int, background_masks: int = 3,
     victim thread, which would make the count seed-dependent again.
     """
     rng = np.random.default_rng(seed)
-    programs, campaigns = {}, []
+    campaigns = []
     for k, (name, n_hangs) in enumerate(hangs):
-        program = ProgramSpec(name)
         kernel = get_workload(name).kernel
-        n_threads = _n_threads(program)
+        n_threads = _n_threads(name)
         control = loop_control_names(kernel)
         sites = [s for s in enumerate_targets(kernel) if s.name not in control]
         specs = build_fault_specs(
@@ -148,27 +139,24 @@ def hang_mix(seed: int, background_masks: int = 3,
         )
         specs += hang_specs(kernel, n_threads, n_hangs, rng, name)
         order = rng.permutation(len(specs))
-        programs[name] = program
         campaigns.append(CampaignSpec(name, name, [specs[int(i)] for i in order]))
-    return WorkloadPlan("hang-mix", programs, campaigns)
+    return WorkloadPlan("hang-mix", tuple(name for name, _ in hangs), campaigns)
 
 
 def fp_replay(seed: int, masks_per_site: int = 100,
               names: Sequence[str] = ("CP", "MRI-Q", "MRI-FHD", "RPES")) -> WorkloadPlan:
     """Every fp site of four replay-eligible kernels, ``masks_per_site`` masks each."""
-    programs = {name: ProgramSpec(name) for name in names}
     campaigns = [
-        CampaignSpec(name, name, _fp_specs(programs[name], masks_per_site, seed * 100 + k))
+        CampaignSpec(name, name, _fp_specs(name, masks_per_site, seed * 100 + k))
         for k, name in enumerate(names)
     ]
-    return WorkloadPlan("fp-replay", programs, campaigns, report_and_resume=True)
+    return WorkloadPlan("fp-replay", tuple(names), campaigns, report_and_resume=True)
 
 
 def barrier_pool(seed: int, masks_per_site: int = 16) -> WorkloadPlan:
     """A TPACF fp-class campaign on a 2-worker fork pool: every trial a lockstep full run."""
-    program = ProgramSpec("TPACF")
-    specs = _fp_specs(program, masks_per_site, seed * 100)
-    return WorkloadPlan("barrier-pool", {"TPACF": program},
+    specs = _fp_specs("TPACF", masks_per_site, seed * 100)
+    return WorkloadPlan("barrier-pool", ("TPACF",),
                         [CampaignSpec("TPACF", "TPACF", specs, workers=2)])
 
 

@@ -2,15 +2,19 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload fp-replay --seed 1 --seconds 34 --trace 0
+    python3 perfbench/run.py --workload fp-replay --seed 1 --seconds 40 --trace 0
 
-Each run spawns fresh workload processes (:mod:`workload`), so the
-process-wide parse, build and golden caches start cold every time:
+Each run generates the seed's plan once (:mod:`plans`), outside the
+timed processes, then spawns fresh workload processes
+(:mod:`workload`) that load it, so the process-wide parse, build and
+golden caches start cold every time:
 
+* first, unmeasured set-up-only processes run for ``WARMUP_S``;
 * ``--trace 0``: the workload repeats, each time in a new process, for
-  as long as another repetition fits in ``--seconds`` (at least once),
-  then more processes stop after set-up until ``SETUP_SAMPLES`` set-up
-  times exist.  It prints the medians of the end-to-end metrics.
+  as long as another repetition and the set-up samples still missing
+  fit in ``--seconds`` (at least once), then more processes stop after
+  set-up until ``SETUP_SAMPLES`` set-up times exist.  It prints the
+  medians of the end-to-end metrics.
 * ``--trace 1``: one untraced and one traced process; it prints the
   per-layer metrics of the traced one and the tracing overhead.
 
@@ -30,6 +34,7 @@ import argparse
 import compileall
 import json
 import os
+import pickle
 import shutil
 import signal
 import statistics
@@ -49,7 +54,10 @@ DEFAULT_SEED = 1
 HELD_OUT_SEED = 1009
 #: Set-up samples per untraced run, so ``setup_s`` is a median; set-up-only
 #: processes make up what the repetitions do not provide.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 9
+#: Unmeasured warm-up before the first timed process: on a 2-vCPU virtual
+#: machine the first processes after an idle spell ran 20-40% slower.
+WARMUP_S = 2.0
 #: Wall-clock limit for one run; children are killed past it.
 RUN_LIMIT_S = 170.0
 
@@ -66,10 +74,13 @@ def end_to_end(reps, probes):
 
 
 class Runner:
-    def __init__(self, root: Path, workload: str, seed: int):
-        self.root, self.workload, self.seed = root, workload, seed
+    def __init__(self, root: Path, plan):
+        self.root = root
         self.started = time.time()
-        self.work = HERE / ".work" / f"{workload}-{seed}-{os.getpid()}"
+        self.work = HERE / ".work" / f"{plan.name}-{os.getpid()}"
+        self.work.mkdir(parents=True, exist_ok=True)
+        self.plan = self.work / "plan.pickle"
+        self.plan.write_bytes(pickle.dumps(plan))
         self.env = dict(os.environ)
         src = str(root / "src")
         self.env["PYTHONPATH"] = src + os.pathsep + self.env["PYTHONPATH"] \
@@ -78,9 +89,8 @@ class Runner:
     def spawn(self, n: int, trace: bool = False, setup_only: bool = False) -> dict:
         """Run one workload process; its result with ``run_s``/``setup_s`` added."""
         out = self.work / f"{n}.json"
-        cmd = [sys.executable, str(HERE / "workload.py"), "--workload", self.workload,
-               "--seed", str(self.seed), "--work-dir", str(self.work / str(n)),
-               "--out", str(out)]
+        cmd = [sys.executable, str(HERE / "workload.py"), "--plan", str(self.plan),
+               "--work-dir", str(self.work / str(n)), "--out", str(out)]
         cmd += ["--trace"] * trace + ["--setup-only"] * setup_only
         t0 = time.time()
         left = RUN_LIMIT_S - (t0 - self.started)
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=34.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true",
                         help="store this run's digests as the seed's reference")
@@ -150,13 +160,23 @@ def main(argv=None) -> int:
     references = json.loads(REFERENCES.read_text()) if REFERENCES.exists() else {}
     reference = references.get(args.workload, {}).get(str(args.seed))
 
-    runner = Runner(root, args.workload, args.seed)
+    sys.path.insert(0, str(root / "src"))
+    from plans import make_plan
+
+    runner = Runner(root, make_plan(args.workload, args.seed))
     try:
+        warm = time.time()
+        while time.time() - warm < WARMUP_S:
+            runner.spawn(-1, setup_only=True)
         reps, probes = [runner.spawn(0)], []
         if args.trace:
             reps.append(runner.spawn(1, trace=True))
         else:
-            while time.time() - runner.started + reps[-1]["run_s"] <= args.seconds:
+            def fits() -> bool:
+                missing = max(SETUP_SAMPLES - len(reps) - 1, 0)
+                need = reps[-1]["run_s"] + missing * max(r["setup_s"] for r in reps)
+                return time.time() - runner.started + need <= args.seconds
+            while fits():
                 reps.append(runner.spawn(len(reps)))
             probes = [runner.spawn(len(reps) + k, setup_only=True)
                       for k in range(SETUP_SAMPLES - len(reps))]

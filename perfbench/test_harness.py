@@ -67,7 +67,7 @@ def test_self_time_subtracts_children():
 
 def _run(name, tmp_path, trace):
     fresh_registry()
-    args = argparse.Namespace(workload=name, seed=2, trace=trace, t0=time.time(),
+    args = argparse.Namespace(trace=trace, t0=time.time(),
                               work_dir=str(tmp_path / f"{name}-{int(trace)}"))
     run = Run(args, plan=make_plan(name, 2, **SMOKE[name]))
     try:

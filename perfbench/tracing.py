@@ -235,7 +235,7 @@ def layer_metrics(tracing: Tracing, run_s: float, journal_bytes: int) -> Dict[st
     """The per-layer metrics of one traced workload run.
 
     ``unattributed_s`` is ``run_s`` minus the summed self time of every
-    span: process start-up, imports, plan generation and the workload
+    span: process start-up, imports, loading the plan and the workload
     process's own bookkeeping.
     """
     rec = tracing.rec

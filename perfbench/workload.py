@@ -2,11 +2,13 @@
 
 Usage (from the repository root, with ``src`` on ``PYTHONPATH``)::
 
-    python3 perfbench/workload.py --workload fp-replay --seed 1 \
+    python3 perfbench/workload.py --plan plan.pickle \
         --work-dir perfbench/.work/x --out result.json [--trace] [--setup-only]
 
-The process plays one closed-loop client: it builds the workload's
-programs from the seeded plan (:mod:`plans`), trains them, records the
+The process plays one closed-loop client: it loads the seeded plan that
+``run.py`` generated (:mod:`plans`; generating it is harness work, so
+it happens before this process starts), builds the plan's programs,
+trains them on input seed 0, records the
 first golden run, then runs every campaign back to back, journaled
 under ``--work-dir``, and finishes with ``build_report`` (plus a resume
 from the journal where the plan asks for one).  Caches start cold,
@@ -27,6 +29,7 @@ import contextlib
 import hashlib
 import json
 import os
+import pickle
 import platform
 import resource
 import sys
@@ -39,7 +42,6 @@ sys.path.insert(0, str(HERE))
 
 import numpy as np  # noqa: E402
 
-from plans import make_plan  # noqa: E402
 from repro.core.program import HauberkProgram  # noqa: E402
 from repro.obs.events import use_tracer  # noqa: E402
 from repro.obs.metrics import get_registry  # noqa: E402
@@ -51,6 +53,8 @@ from repro.workloads import get_workload  # noqa: E402
 from tracing import Tracing, layer_metrics, trial_class  # noqa: E402
 
 MODE = "fift"
+#: Input seed every program is trained on.
+TRAIN_SEED = 0
 
 
 def digest(obj) -> str:
@@ -63,9 +67,10 @@ def report_digest(report: dict) -> str:
     """Digest of ``build_report(include_timing=False)``.
 
     Left out: the run directory's path, which differs per process, and
-    the served-by attribution, which exists only in profiled journals
-    (it is checked as counts instead), so traced and untraced runs share
-    one reference.
+    the served-by attribution, which exists only in profiled journals,
+    so traced and untraced runs share one reference.  Served-by counts
+    come from the metrics registry instead (:func:`served_counts`);
+    ``fp-replay`` and ``barrier-pool`` check them in their self-checks.
     """
     campaigns = [{k: v for k, v in c.items() if k != "differential"}
                  for c in report["campaigns"]]
@@ -97,16 +102,16 @@ def journal_bytes(run_dir: Path) -> int:
 
 
 class Run:
-    """One workload process's work; ``plan`` overrides the seeded default sizes."""
+    """One workload process's work on a :class:`plans.WorkloadPlan`."""
 
-    def __init__(self, args, plan=None):
+    def __init__(self, args, plan):
         self.args = args
         self.tracing = Tracing().install() if args.trace else None
-        self.plan = plan if plan is not None else make_plan(args.workload, args.seed)
+        self.plan = plan
         self.run_dir = Path(args.work_dir) / "runs"
         self.programs = {}
         self.out = {
-            "workload": args.workload, "seed": args.seed, "traced": bool(args.trace),
+            "workload": plan.name, "traced": bool(args.trace),
             "cpu_count": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "errors": [],
             #: determinism-contract checks, and the property each workload
@@ -124,13 +129,12 @@ class Run:
 
     # -- set-up: build, train, first golden record ---------------------------
     def setup(self) -> None:
-        for name, spec in self.plan.programs.items():
-            program = HauberkProgram(get_workload(spec.name, **spec.kwargs))
-            program.train(seeds=list(spec.train_seeds))
+        for name in self.plan.programs:
+            program = HauberkProgram(get_workload(name))
+            program.train(seeds=[TRAIN_SEED])
             build_trial_runner(program, MODE, CampaignOptions())
             self.programs[name] = program
-        self.out["train_launches"] = sum(
-            len(s.train_seeds) for s in self.plan.programs.values())
+        self.out["train_launches"] = len(self.plan.programs)
 
     # -- campaigns ----------------------------------------------------------
     def campaigns(self) -> None:
@@ -236,6 +240,8 @@ class Run:
                     {r["path"] for r in hangs_by} == {"diff", "full"}
         if name in ("fp-replay", "barrier-pool"):
             checks["no hang trials"] = hangs == 0
+        if name == "fp-replay":
+            checks["every trial served diff"] = out["served"] == {"diff": out["trials"]}
         if name == "barrier-pool":
             checks["every trial served full:uses_sync"] = \
                 out["served"] == {"full:uses_sync": out["trials"]}
@@ -243,8 +249,7 @@ class Run:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--plan", required=True, help="pickled plans.WorkloadPlan")
     parser.add_argument("--work-dir", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--trace", action="store_true")
@@ -253,7 +258,8 @@ def main(argv=None) -> int:
                         help="wall-clock time the parent spawned this process")
     args = parser.parse_args(argv)
 
-    out = Run(args).execute(args.setup_only)
+    plan = pickle.loads(Path(args.plan).read_bytes())
+    out = Run(args, plan).execute(args.setup_only)
     Path(args.out).write_text(json.dumps(out))
     return 0
 
