@@ -88,12 +88,12 @@ class ControlBlock:
 
     # -- launch-boundary copies --------------------------------------------
     def copy_to_device(self) -> "ControlBlock":
-        """Fresh working copy for one kernel launch (clears results)."""
-        device_cb = copy.deepcopy(self)
-        device_cb.events = []
-        device_cb.sdc_bit = False
-        device_cb.updated_ranges = {}
-        return device_cb
+        """Fresh working copy for one kernel launch (results start empty).
+
+        Only the detector configs travel; the host's previous results
+        are never copied.
+        """
+        return ControlBlock(detectors=copy.deepcopy(self.detectors))
 
     def copy_from_device(self, device_cb: "ControlBlock") -> None:
         """Absorb results after a *successful* kernel completion."""

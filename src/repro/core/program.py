@@ -81,12 +81,12 @@ class CombinedLibrary(InstrumentationLibrary):
     def __init__(self, members: Sequence[InstrumentationLibrary]):
         self.members = list(members)
 
-    def invoke(self, func, ctx, frame, args):
+    def hook(self, func):
         for member in self.members:
-            if member.handles(func):
-                member.invoke(func, ctx, frame, args)
-                return
-        super().invoke(func, ctx, frame, args)  # raises helpful error
+            handler = member.hook(func)
+            if handler is not None:
+                return handler
+        return None
 
 
 class HauberkProgram:

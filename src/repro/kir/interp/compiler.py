@@ -304,20 +304,7 @@ class _KernelCompiler:
                 "kernels with __syncthreads need the lockstep interpreter"
             )
         if isinstance(s, CallStmt):
-            fns = [compile_expr(a) for a in s.args]
-            func = s.func
-            cost = self.cm.libcall_cost(func) * s.cost_scale
-
-            def libcall(fr, ctx):
-                ctx.steps += 1
-                if ctx.steps > ctx.budget:
-                    raise KernelHang()
-                if cost:
-                    ctx.cycles += cost
-                    if in_loop:
-                        ctx.loop_cycles += cost
-                ctx.lib.invoke(func, ctx, fr, [f(fr, ctx) for f in fns])
-            return libcall
+            return self._compile_call(s)
         raise KIRError(f"cannot compile statement {type(s).__name__}")
 
     # -- leaf wrappers -------------------------------------------------
@@ -354,6 +341,42 @@ class _KernelCompiler:
                 ctx.loop_cycles += cost
             fr[name] = conv(val(fr, ctx))
         return run
+
+    def _compile_call(self, s: CallStmt) -> StmtFn:
+        """An instrumentation hook: the handler comes from ``ctx.hooks``.
+
+        Handlers are resolved per launch (a compiled kernel is shared by
+        launches bound to different libraries).  All-constant argument
+        lists — every FI hook — are built once, here.
+        """
+        func = s.func
+        in_loop = s.in_loop
+        cost = self.cm.libcall_cost(func) * s.cost_scale
+        if all(isinstance(a, Const) for a in s.args):
+            const_args = tuple(a.value for a in s.args)
+
+            def libcall_const(fr, ctx):
+                ctx.steps += 1
+                if ctx.steps > ctx.budget:
+                    raise KernelHang()
+                if cost:
+                    ctx.cycles += cost
+                    if in_loop:
+                        ctx.loop_cycles += cost
+                ctx.hooks[func](ctx, fr, *const_args)
+            return libcall_const
+        fns = [compile_expr(a) for a in s.args]
+
+        def libcall(fr, ctx):
+            ctx.steps += 1
+            if ctx.steps > ctx.budget:
+                raise KernelHang()
+            if cost:
+                ctx.cycles += cost
+                if in_loop:
+                    ctx.loop_cycles += cost
+            ctx.hooks[func](ctx, fr, *[f(fr, ctx) for f in fns])
+        return libcall
 
     # -- compound statements -------------------------------------------
     def _compile_atomic(self, s: AtomicAdd) -> StmtFn:

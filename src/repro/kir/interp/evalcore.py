@@ -17,7 +17,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bits import wrap_i32
-from repro.errors import KernelCrash, KernelHang
+from repro.errors import KernelCrash
 
 NAN = float("nan")
 INF = float("inf")
@@ -201,12 +201,17 @@ INTRINSIC_IMPL: Dict[str, Callable] = {
 class InstrumentationLibrary:
     """Base class for libraries bound at kernel launch (Figure 12).
 
-    A ``CallStmt`` whose function name is ``__hauberk_<op>`` dispatches
-    to the method ``lib_<op>(ctx, frame, *args)``.  Arguments are
-    evaluated values; string constants arrive as ``str`` (the FI
-    library receives variable names this way so it can read and write
-    the calling frame directly — the mutation-based injection of
-    Section VII).
+    A ``CallStmt`` whose function name is ``__hauberk_<op>`` runs the
+    method ``lib_<op>(ctx, frame, *args)``.  Arguments are evaluated
+    values; string constants arrive as ``str`` (the FI library receives
+    variable names this way so it can read and write the calling frame
+    directly — the mutation-based injection of Section VII).
+
+    :meth:`hook` maps a function name to that bound method (``None``
+    when the library has no handler).  The interpreters resolve each
+    name once per launch through :func:`resolve_hook` and cache the
+    result in :attr:`ExecContext.hooks`; :meth:`invoke` goes through
+    the same resolution, so there is one dispatch path.
     """
 
     PREFIX = "__hauberk_"
@@ -226,18 +231,18 @@ class InstrumentationLibrary:
     def vector_reset(self) -> None:
         """Undo any hook state before a scalar rerun of the launch."""
 
-    def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
+    def hook(self, func: str) -> Optional[Callable]:
+        """The bound ``lib_<op>`` handler for ``func``, or ``None``."""
         if not func.startswith(self.PREFIX):
-            raise KernelCrash(f"unbound library call {func}")
-        method = getattr(self, "lib_" + func[len(self.PREFIX):], None)
-        if method is None:
-            raise KernelCrash(f"library has no handler for {func}")
-        method(ctx, frame, *args)
+            return None
+        return getattr(self, "lib_" + func[len(self.PREFIX):], None)
 
-    def handles(self, func: str) -> bool:
-        return func.startswith(self.PREFIX) and hasattr(
-            self, "lib_" + func[len(self.PREFIX):]
-        )
+    def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
+        resolve_hook(self, func)(ctx, frame, *args)
+
+
+def _noop_hook(ctx: "ExecContext", frame: dict, *args) -> None:
+    return None
 
 
 class NullLibrary(InstrumentationLibrary):
@@ -245,8 +250,42 @@ class NullLibrary(InstrumentationLibrary):
 
     vector_compatible = True
 
-    def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
-        return None
+    def hook(self, func: str) -> Callable:
+        return _noop_hook
+
+
+def resolve_hook(lib: InstrumentationLibrary, func: str) -> Callable:
+    """``lib``'s handler for ``func``; a crashing stand-in when it has none.
+
+    The stand-in raises only when the call executes, so an unbound hook
+    on a path no thread takes never crashes the kernel.
+    """
+    handler = lib.hook(func)
+    if handler is not None:
+        return handler
+    if func.startswith(lib.PREFIX):
+        message = f"library has no handler for {func}"
+    else:
+        message = f"unbound library call {func}"
+
+    def unbound(ctx: "ExecContext", frame: dict, *args) -> None:
+        raise KernelCrash(message)
+
+    return unbound
+
+
+class HookTable(dict):
+    """Per-launch cache: function name -> handler, filled on first call."""
+
+    __slots__ = ("lib",)
+
+    def __init__(self, lib: InstrumentationLibrary):
+        super().__init__()
+        self.lib = lib
+
+    def __missing__(self, func: str) -> Callable:
+        handler = self[func] = resolve_hook(self.lib, func)
+        return handler
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +306,8 @@ class ExecContext:
       (``ctx.memory.load_f32``), keeping the layered protocol off the
       hot path;
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
+    * ``hooks`` — this launch's :class:`HookTable` for ``lib``: compiled
+      ``CallStmt`` closures call ``ctx.hooks[func]`` directly;
     * ``budget`` — per-thread statement budget; exceeding it raises
       :class:`~repro.errors.KernelHang` (the watchdog);
     * ``cycles`` / ``loop_cycles`` — cost-model accounting used for
@@ -280,6 +321,7 @@ class ExecContext:
         "store_f32",
         "store_i32",
         "lib",
+        "hooks",
         "budget",
         "steps",
         "max_steps",
@@ -299,6 +341,7 @@ class ExecContext:
     ):
         self._bind_memory(memory)
         self.lib = lib if lib is not None else NullLibrary()
+        self.hooks = HookTable(self.lib)
         self.budget = budget
         self.steps = 0
         self.max_steps = 0
@@ -308,15 +351,6 @@ class ExecContext:
         self.thread = -1
         self.block = -1
         self.spill_factor = 1.0
-
-    def tick(self) -> None:
-        """Per-statement watchdog bump (inlined by the compiler)."""
-        self.steps += 1
-        if self.steps > self.budget:
-            raise KernelHang(
-                f"thread {self.thread} in block {self.block} exceeded "
-                f"{self.budget} statements"
-            )
 
     def reset_thread(self, block: int, thread: int) -> None:
         if self.steps > self.max_steps:

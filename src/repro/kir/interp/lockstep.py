@@ -265,6 +265,6 @@ class LockstepProgram:
                 if s.in_loop:
                     ctx.loop_cycles += cost
             args = [self._fn(a)(fr, ctx) for a in s.args]
-            ctx.lib.invoke(s.func, ctx, fr, args)
+            ctx.hooks[s.func](ctx, fr, *args)
             return
         raise KIRValidationError(f"lockstep cannot execute {type(s).__name__}")

@@ -47,6 +47,18 @@ class TestControlBlock:
         assert cb.sdc_bit and cb.alarm_raised
         assert cb.events_of_kind("range")
 
+    def test_device_copy_starts_empty_with_private_detectors(self):
+        cb = self._cb()
+        lib = HauberkFTLibrary(cb)
+        lib.lib_check_range(_ctx(), {}, 0, 99.0)  # host holds a past result
+        assert cb.events and cb.sdc_bit and cb.updated_ranges
+        dev = cb.copy_to_device()
+        assert dev.events == [] and not dev.sdc_bit and dev.updated_ranges == {}
+        assert dev.detectors == cb.detectors
+        assert dev.detectors[0] is not cb.detectors[0]
+        dev.set_alpha(0, 5.0)
+        assert cb.detectors[0].ranges.alpha != 5.0
+
     def test_clear_results(self):
         cb = self._cb()
         cb.sdc_bit = True

@@ -1,11 +1,15 @@
-"""CombinedLibrary dispatch and HauberkProgram edge cases."""
+"""Hook resolution, CombinedLibrary dispatch and HauberkProgram edge cases."""
 
 import pytest
 
 from repro.core.program import CombinedLibrary, HauberkProgram, RunStatus
 from repro.errors import KernelCrash
+from repro.gpu.device import Device
 from repro.gpu.memory import GlobalMemory
-from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
+from repro.gpu.runtime import ENGINE_CLOSURE, ENGINE_LOCKSTEP, GPURuntime
+from repro.kir import parse_kernel
+from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary, NullLibrary
+from repro.kir.types import DType
 from repro.workloads import get_workload
 
 
@@ -43,8 +47,114 @@ class TestCombinedLibrary:
 
     def test_unknown_call_crashes(self):
         lib = CombinedLibrary([_A()])
-        with pytest.raises(KernelCrash):
+        with pytest.raises(KernelCrash, match="library has no handler for __hauberk_gamma"):
             lib.invoke("__hauberk_gamma", _ctx(), {}, [])
+
+    def test_unprefixed_call_crashes(self):
+        with pytest.raises(KernelCrash, match="unbound library call gamma"):
+            CombinedLibrary([_A()]).invoke("gamma", _ctx(), {}, [])
+        with pytest.raises(KernelCrash, match="unbound library call gamma"):
+            _A().invoke("gamma", _ctx(), {}, [])
+
+    def test_hook_returns_first_members_handler(self):
+        a, b = _A(), _B()
+        lib = CombinedLibrary([a, b])
+        assert lib.hook("__hauberk_alpha") == a.lib_alpha
+        assert lib.hook("__hauberk_beta") == b.lib_beta
+        assert lib.hook("__hauberk_gamma") is None
+        assert lib.hook("alpha") is None
+        assert not hasattr(lib, "handles")
+
+    def test_null_library_hook_is_a_noop(self):
+        hook = NullLibrary().hook("__hauberk_anything")
+        assert hook(_ctx(), {}, 1, "x") is None
+        NullLibrary().invoke("not_even_prefixed", _ctx(), {}, [])
+
+
+class _Probe(InstrumentationLibrary):
+    """Records every hook call with its arguments and a frame read."""
+
+    def __init__(self):
+        self.calls = []
+
+    def lib_probe(self, ctx, frame, *args):
+        self.calls.append(("probe", args, frame.get("x")))
+
+    def lib_alpha(self, ctx, frame, x):
+        self.calls.append(("alpha", x))
+
+
+def _launch(src, engine, lib, n=5):
+    """Launch ``src`` (params ``int n, int* out``) on one thread."""
+    device = Device()
+    runtime = GPURuntime(device)
+    out = device.memory.alloc("out", 1, DType.INT32)
+    runtime.launch(parse_kernel(src), 1, 1, {"n": n, "out": out},
+                   lib=lib, engine=engine)
+    return int(device.memory.memcpy_dtoh(out)[0])
+
+
+ENGINES = [ENGINE_CLOSURE, ENGINE_LOCKSTEP]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestHookResolution:
+    """``ctx.hooks`` behaviour, identical on the closure and lockstep paths."""
+
+    def test_unbound_hook_on_untaken_branch_does_not_crash(self, engine):
+        src = ("kernel k(int n, int* out) { "
+               "if (n > 100) { __hauberk_nothing(n); } out[0] = n; }")
+        assert _launch(src, engine, InstrumentationLibrary()) == 5
+
+    def test_executed_unbound_hook_crashes(self, engine):
+        src = "kernel k(int n, int* out) { out[0] = n; __hauberk_nothing(n); }"
+        with pytest.raises(KernelCrash, match="library has no handler for __hauberk_nothing"):
+            _launch(src, engine, InstrumentationLibrary())
+        with pytest.raises(KernelCrash, match="library has no handler for __hauberk_nothing"):
+            _launch(src, engine, CombinedLibrary([_A(), _B()]))
+
+    def test_cache_is_per_launch_not_per_kernel(self, engine):
+        device = Device()
+        runtime = GPURuntime(device)
+        kernel = parse_kernel(
+            "kernel k(int n, int* out) { __hauberk_alpha(n); out[0] = n; }"
+        )
+        out = device.memory.alloc("out", 1, DType.INT32)
+        first, second = _A(), _B()
+        runtime.launch(kernel, 1, 1, {"n": 1, "out": out}, lib=first, engine=engine)
+        runtime.launch(kernel, 1, 1, {"n": 2, "out": out}, lib=second, engine=engine)
+        runtime.launch(kernel, 1, 1, {"n": 3, "out": out}, lib=NullLibrary(), engine=engine)
+        with pytest.raises(KernelCrash, match="no handler for __hauberk_alpha"):
+            runtime.launch(kernel, 1, 1, {"n": 4, "out": out},
+                           lib=InstrumentationLibrary(), engine=engine)
+        assert first.calls == [("a", 1)]
+        assert second.calls == [("b-alpha", 2)]
+
+    def test_combined_library_shadowing(self, engine):
+        a, b = _A(), _B()
+        src = ("kernel k(int n, int* out) { "
+               "__hauberk_alpha(n); __hauberk_beta(n + 1); out[0] = n; }")
+        _launch(src, engine, CombinedLibrary([a, b]))
+        assert a.calls == [("a", 5)]
+        assert b.calls == [("b", 6)]
+
+    def test_constant_and_evaluated_arguments(self, engine):
+        probe = _Probe()
+        src = ("kernel k(int n, int* out) { int x = n * 2; "
+               '__hauberk_probe(7, "x", 2.5); '
+               '__hauberk_probe(x + 1, "x"); '
+               "for (int i = 0; i < 2; i++) { __hauberk_probe(3, \"i\"); __hauberk_probe(i); } "
+               "__hauberk_alpha(x); out[0] = x; }")
+        assert _launch(src, engine, probe) == 10
+        assert probe.calls == [
+            ("probe", (7, "x", 2.5), 10),
+            ("probe", (11, "x"), 10),
+            ("probe", (3, "i"), 10),
+            ("probe", (0,), 10),
+            ("probe", (3, "i"), 10),
+            ("probe", (1,), 10),
+            ("alpha", 10),
+        ]
 
 
 class TestProgramEdgeCases:
